@@ -24,6 +24,7 @@ slowdown.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional
 
 from ..model.config import ModelConfig
@@ -113,6 +114,10 @@ RTX_4080 = GpuSpec(
     h2d_gbps=25.0,
 )
 
+
+#: Distinct (GPU, config, shape) entries :func:`_kernel_seconds` keeps:
+#: a 1000-job cluster run prices about 130.
+COMPUTE_CACHE_ENTRIES = 256
 
 #: AF3 inference shape: trunk recycling passes and diffusion samples.
 NUM_RECYCLES = 10
@@ -306,6 +311,10 @@ class InferenceSimulator:
         device memory (it tightens the OOM/spill decision without
         changing this run's own demand), and ``slowdown`` scales kernel
         time for a degraded device (thermal throttling, a slow node).
+
+        Kernel times are computed once per shape and remembered (see
+        :func:`_kernel_seconds`); every call returns a fresh dict, and
+        the argument checks and the OOM fire on every call.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -313,8 +322,6 @@ class InferenceSimulator:
             raise ValueError("memory_pressure_bytes must be >= 0")
         if slowdown <= 0:
             raise ValueError("slowdown must be > 0")
-        cfg = self.config
-        costs = inference_costs(num_tokens, cfg, msa_depth=msa_depth)
         demand = self.memory_demand_bytes(num_tokens, batch_size)
         spill = demand + memory_pressure_bytes > self.gpu.memory_bytes
         if spill and not (
@@ -328,30 +335,12 @@ class InferenceSimulator:
                 f"{demand / GIB:.1f} GiB{pressure} exceeds {self.gpu.name} "
                 f"({self.gpu.memory_bytes / GIB:.0f} GiB)"
             )
-        times: Dict[str, float] = {}
-        for scope, cost in costs.items():
-            if scope.startswith("pairformer."):
-                # Cost table already aggregates the 48 blocks over one
-                # trunk pass; recycling repeats the trunk.
-                units = cfg.num_pairformer_blocks * NUM_RECYCLES
-                scaled = cost * NUM_RECYCLES
-            elif scope.startswith("diffusion."):
-                # Aggregated over the denoising steps of one sample.
-                units = cfg.num_diffusion_steps * NUM_DIFFUSION_SAMPLES
-                scaled = cost * NUM_DIFFUSION_SAMPLES
-            elif scope.startswith("msa_module.") or scope.startswith("embedder."):
-                units = NUM_RECYCLES
-                scaled = cost * NUM_RECYCLES
-            else:
-                units = 1
-                scaled = cost
-            seconds = self.gpu.scope_time(scope, scaled * batch_size, units)
-            if not self.chunked_triangle and "triangle_attention" in scope:
-                seconds /= UNCHUNKED_TRIANGLE_SPEEDUP
-            if spill:
-                seconds *= self.gpu.unified_memory_slowdown
-            times[scope] = seconds * slowdown
-        return times
+        kernels = _kernel_seconds(
+            self.gpu, self.config, self.chunked_triangle, num_tokens,
+            msa_depth, batch_size, spill,
+        )
+        return {scope: seconds * slowdown
+                for scope, seconds in kernels.items()}
 
     def run(
         self, num_tokens: int, threads: int = 1, msa_depth: int = 1,
@@ -418,3 +407,43 @@ class InferenceSimulator:
             ),
             device_memory_demand=demand,
         )
+
+
+@functools.lru_cache(maxsize=COMPUTE_CACHE_ENTRIES, typed=True)
+def _kernel_seconds(
+    gpu: GpuSpec, config: ModelConfig, chunked_triangle: bool,
+    num_tokens: int, msa_depth: int, batch_size: int, spill: bool,
+) -> Dict[str, float]:
+    """Per-scope kernel seconds before any fault slowdown.
+
+    Keyed on every value the kernel times read, so simulators with the
+    same GPU and config share one entry per shape.  Memory pressure and
+    the unified-memory policy reach it only through ``spill``; the
+    attention block is a memory knob, not a speed knob.
+    """
+    times: Dict[str, float] = {}
+    for scope, cost in inference_costs(
+        num_tokens, config, msa_depth=msa_depth
+    ).items():
+        if scope.startswith("pairformer."):
+            # Cost table already aggregates the 48 blocks over one
+            # trunk pass; recycling repeats the trunk.
+            units = config.num_pairformer_blocks * NUM_RECYCLES
+            scaled = cost * NUM_RECYCLES
+        elif scope.startswith("diffusion."):
+            # Aggregated over the denoising steps of one sample.
+            units = config.num_diffusion_steps * NUM_DIFFUSION_SAMPLES
+            scaled = cost * NUM_DIFFUSION_SAMPLES
+        elif scope.startswith("msa_module.") or scope.startswith("embedder."):
+            units = NUM_RECYCLES
+            scaled = cost * NUM_RECYCLES
+        else:
+            units = 1
+            scaled = cost
+        seconds = gpu.scope_time(scope, scaled * batch_size, units)
+        if not chunked_triangle and "triangle_attention" in scope:
+            seconds /= UNCHUNKED_TRIANGLE_SPEEDUP
+        if spill:
+            seconds *= gpu.unified_memory_slowdown
+        times[scope] = seconds
+    return times

@@ -14,7 +14,7 @@ Figure 9 / Table VI layer breakdowns read straight out of this table.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 from typing import Dict
 
 from .config import ModelConfig
@@ -23,8 +23,13 @@ from .heads import NUM_DISTOGRAM_BINS, NUM_PAE_BINS, NUM_PLDDT_BINS
 
 FP_BYTES = 4.0  # float32 activations
 
+#: Distinct shapes :func:`inference_costs` remembers (a few KiB each).
+#: A serving run prices about 5 shapes and a 1000-job cluster run about
+#: 70; a longer sweep only pays the misses, each O(1).
+COST_CACHE_ENTRIES = 256
 
-@dataclasses.dataclass
+
+@dataclasses.dataclass(frozen=True)
 class ScopeCost:
     """Analytic cost of one scope (possibly over many invocations)."""
 
@@ -145,17 +150,23 @@ def pairformer_block_costs(n: int, cfg: ModelConfig) -> Dict[str, ScopeCost]:
 
 
 def local_attention_cost(num_atoms: int, cfg: ModelConfig) -> ScopeCost:
-    """One LocalAttention call over the atom stream."""
+    """One LocalAttention call over the atom stream.
+
+    q/gate/out run on each window's atoms and k/v on its key span: one
+    attention per full window plus one for the shorter tail window.
+    With the heads dividing ``c_atom`` (as the head split requires),
+    every term is an integer-valued float far below 2**53, so the
+    product equals the per-window sum exactly.
+    """
     ca, heads = cfg.c_atom, cfg.num_heads
     w = cfg.local_attn_window
     k = min(cfg.local_attn_keys, num_atoms)
     a = float(num_atoms)
-    num_windows = math.ceil(num_atoms / w)
+    full_windows, tail = divmod(num_atoms, w)
     flops = 8.0 * a * ca  # layer norm
-    # Window loop: q/gate/out on the window atoms, k/v on the key span.
-    for widx in range(num_windows):
-        wlen = min(w, num_atoms - widx * w)
-        flops += _mha_flops(1, wlen, k, ca, heads)
+    flops += full_windows * _mha_flops(1, w, k, ca, heads)
+    if tail:
+        flops += _mha_flops(1, tail, k, ca, heads)
     bytes_ = (a * ca * 10.0 + a * k * heads * 2.0) * FP_BYTES
     return ScopeCost(flops=flops, bytes=bytes_,
                      activation_bytes=a * ca * FP_BYTES * 2.0)
@@ -299,8 +310,19 @@ def inference_costs(
     ``num_diffusion_steps=0`` uses the config default.  Pairformer
     scopes aggregate all blocks; diffusion scopes aggregate all
     denoising iterations.
+
+    The table is a pure function of its arguments, so it is computed
+    once per shape and remembered; each call gets its own dict (the
+    shared :class:`ScopeCost` values are frozen).
     """
     steps = num_diffusion_steps or cfg.num_diffusion_steps
+    return dict(_inference_costs(n, cfg, msa_depth, steps, with_profile))
+
+
+@functools.lru_cache(maxsize=COST_CACHE_ENTRIES, typed=True)
+def _inference_costs(
+    n: int, cfg: ModelConfig, msa_depth: int, steps: int, with_profile: bool,
+) -> Dict[str, ScopeCost]:
     costs: Dict[str, ScopeCost] = {}
     costs.update(embedder_costs(n, cfg, with_profile))
     if msa_depth > 1:

@@ -118,10 +118,15 @@ class AnalyticMsaCostModel:
         self.threads = threads
         self._cache: Dict[str, MsaCost] = {}
 
-    def cost(self, sample: InputSample) -> MsaCost:
+    def cost(
+        self, sample: InputSample, content_key: Optional[str] = None
+    ) -> MsaCost:
         """Scan seconds + MSA depth for ``sample``, cached per chain
-        content (identical assemblies price identically)."""
-        key = chain_content_key(sample.assembly)
+        content (identical assemblies price identically).
+
+        ``content_key`` is ``sample``'s :func:`chain_content_key` when
+        the caller already holds it (a request memoises its own)."""
+        key = content_key or chain_content_key(sample.assembly)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -159,10 +164,13 @@ class FunctionalMsaCostModel:
         self._cpu_sim = CpuSimulator(platform.cpu)
         self._cache: Dict[str, MsaCost] = {}
 
-    def cost(self, sample: InputSample) -> MsaCost:
+    def cost(
+        self, sample: InputSample, content_key: Optional[str] = None
+    ) -> MsaCost:
         """Scan seconds + MSA depth from one real engine run per
-        distinct chain content, replayed on the CPU simulator."""
-        key = chain_content_key(sample.assembly)
+        distinct chain content, replayed on the CPU simulator
+        (``content_key`` as for :meth:`AnalyticMsaCostModel.cost`)."""
+        key = content_key or chain_content_key(sample.assembly)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -589,7 +597,7 @@ class ServingGateway:
                 # the in-memory LRU is warmed for same-key followers.
                 request.msa_store_hit = True
                 self._store_hits += 1
-                cost = self.msa_cost_model.cost(request.sample)
+                cost = self.msa_cost_model.cost(request.sample, key)
                 request.msa_depth = cost.depth
                 self._cache.insert(
                     key, CachedMsa(cost.seconds, cost.depth, degraded=False)
@@ -642,8 +650,8 @@ class ServingGateway:
             health = self.msa_pool.health[worker]
             request.msa_wait += self._now - request.stage_entered_at
             request.state = RequestState.IN_MSA
-            cost = self.msa_cost_model.cost(request.sample)
             key = request.content_key()
+            cost = self.msa_cost_model.cost(request.sample, key)
             base_shards = 0
             checkpoint = self.checkpoints.take(key)
             if checkpoint is not None:
@@ -701,7 +709,7 @@ class ServingGateway:
             self.probe.msa_queued(request, self._now)
         else:
             health.breaker.record_success()
-            cost = self.msa_cost_model.cost(request.sample)
+            cost = self.msa_cost_model.cost(request.sample, key)
             self._cache.insert(
                 key,
                 CachedMsa(cost.seconds, cost.depth, degraded=False),
@@ -1124,7 +1132,7 @@ class ServingGateway:
             completed = 0
         self.probe.msa_aborted(request, worker, self._now, completed)
         key = request.content_key()
-        cost = self.msa_cost_model.cost(request.sample)
+        cost = self.msa_cost_model.cost(request.sample, key)
         if completed > 0:
             self.checkpoints.save(key, MsaCheckpoint(
                 completed_shards=completed,
@@ -1336,7 +1344,7 @@ def sequential_warm_baseline(
     cost_model = msa_cost_model or AnalyticMsaCostModel(platform)
     total = 0.0
     for request in requests:
-        cost = cost_model.cost(request.sample)
+        cost = cost_model.cost(request.sample, request.content_key())
         total += cost.seconds
         total += engine.submit(
             request.sample, msa_depth=cost.depth

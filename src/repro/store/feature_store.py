@@ -38,7 +38,10 @@ import pathlib
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-__all__ = ["DEFAULT_BYTE_BUDGET", "FeatureStore", "payload_checksum"]
+__all__ = [
+    "DEFAULT_BYTE_BUDGET", "FeatureStore", "atomic_write_text",
+    "payload_checksum",
+]
 
 #: Default eviction budget: plenty for ~10^5 chain records while still
 #: small enough that property tests can exercise eviction cheaply.
@@ -53,6 +56,27 @@ def payload_checksum(payload) -> str:
     """sha256 over the canonical (sorted, compact) JSON of ``payload``."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Replace ``path``'s content with ``text`` in one atomic rename.
+
+    The temp file sits next to ``path`` (same filesystem, so
+    ``os.replace`` is atomic) under a random name created exclusively,
+    so concurrent writers never rename each other's half-written files.
+    It is created with the mode a plain ``open(path, "w")`` would give,
+    and removed if the write fails.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _validate_key(key: str) -> None:
@@ -93,12 +117,7 @@ class FeatureStore:
     def _object_path(self, key: str) -> pathlib.Path:
         return self._objects / key[:2] / f"{key}.json"
 
-    @staticmethod
-    def _atomic_write(path: pathlib.Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+    _atomic_write = staticmethod(atomic_write_text)
 
     def _load(self) -> None:
         index_path = self.root / _INDEX_NAME

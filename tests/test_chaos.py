@@ -48,7 +48,7 @@ class FixedMsaCost:
     def __init__(self, seconds=MSA_SECONDS, depth=64):
         self.fixed = MsaCost(seconds=seconds, depth=depth)
 
-    def cost(self, sample):
+    def cost(self, sample, content_key=None):
         return self.fixed
 
 

@@ -9,12 +9,14 @@ Covers the invariants the store's design promises:
   rejects them (and overwrite-with-different counts an invalidation
   in both tiers);
 * corruption is detected, invalidated and never served;
+* several processes can open and fill one store at once;
 * precompute is checkpointed through the store: a killed-and-restarted
   campaign recomputes zero already-stored chains.
 """
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,7 @@ from repro.store import (
     shard_for,
     shard_ranges,
 )
+from repro.store.feature_store import atomic_write_text
 
 # -- strategies ---------------------------------------------------------
 
@@ -54,6 +57,22 @@ def _key(n: int) -> str:
 
 def _payload(n: int, pad: int = 0) -> dict:
     return {"n": n, "pad": "x" * pad}
+
+
+#: Processes filling one store at once, and puts each makes.
+WRITERS = 4
+PUTS_PER_WRITER = 30
+
+
+def _store_writer(root: str, worker: int, barrier) -> None:
+    """One of ``WRITERS`` processes opening and filling one store."""
+    barrier.wait(timeout=60)
+    store = FeatureStore(root)
+    for i in range(PUTS_PER_WRITER):
+        n = worker * PUTS_PER_WRITER + i
+        store.put(_key(n), _payload(n))
+        if i % 10 == 9:
+            store = FeatureStore(root)
 
 
 def _chain(i: int, length: int = 24) -> Chain:
@@ -162,6 +181,50 @@ class TestPersistence:
         store = FeatureStore(tmp_path)
         for n in range(8):
             store.put(_key(n), _payload(n))
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_atomic_write_keeps_plain_write_mode(self, tmp_path):
+        plain = tmp_path / "plain.json"
+        plain.write_text("{}")
+        atomic_write_text(tmp_path / "atomic.json", "{}")
+        assert (
+            (tmp_path / "atomic.json").stat().st_mode
+            == plain.stat().st_mode
+        )
+
+    def test_failed_atomic_write_keeps_target_and_no_tmp(self, tmp_path):
+        target = tmp_path / "doc.json"
+        atomic_write_text(target, "old")
+        with pytest.raises(TypeError):
+            atomic_write_text(target, None)
+        assert target.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+    def test_concurrent_processes_share_one_store(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(WRITERS)
+        procs = [
+            ctx.Process(target=_store_writer,
+                        args=(str(tmp_path), worker, barrier))
+            for worker in range(WRITERS)
+        ]
+        for proc in procs:
+            proc.start()
+        try:
+            for proc in procs:
+                proc.join(timeout=120)
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+        assert [proc.exitcode for proc in procs] == [0] * WRITERS
+        store = FeatureStore(tmp_path)
+        written = range(WRITERS * PUTS_PER_WRITER)
+        assert sorted(store.keys()) == sorted(_key(n) for n in written)
+        for n in written:
+            assert store.get(_key(n)) == _payload(n)
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_orphaned_object_adopted(self, tmp_path):
