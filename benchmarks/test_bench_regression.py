@@ -1,10 +1,12 @@
-"""Median-of-k timings of the DP hot kernels for the regression gate.
+"""Median-of-k timings of the DP hot kernels and the pairwise aligner
+for the regression gate.
 
 Unlike the pytest-benchmark microbenchmarks in
 ``test_bench_kernels.py`` (interactive tables), these write
-``benchmarks/out/BENCH_kernels.json`` via the session recorder so
+``benchmarks/out/BENCH_kernels.json`` and
+``benchmarks/out/BENCH_aligner.json`` via the session recorder so
 ``check_regression.py`` can compare canary-normalised ratios against
-the committed baseline in ``benchmarks/baselines/``.
+the committed baselines in ``benchmarks/baselines/``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import os
 
 import pytest
 
+from repro.msa.aligner import global_align
 from repro.msa.dp import calc_band_9, calc_band_10, msv_filter
 from repro.msa.profile_hmm import ProfileHMM, encode_sequence
 from repro.sequences.alphabets import MoleculeType
@@ -54,3 +57,15 @@ def test_record_calc_band_10(bench_recorder, dp_case):
         lambda: calc_band_10(profile, encoded, 64), repeats=REPEATS,
     )
     assert bench_recorder.groups["kernels"]["calc_band_10"].median_seconds > 0
+
+
+def test_record_global_align(bench_recorder):
+    # The same 242-residue pair as test_bench_kernels.test_global_alignment.
+    # One call takes a few ms, so take three times the samples.
+    query = random_sequence(242, seed=3)
+    target = mutate_sequence(query, MoleculeType.PROTEIN, 0.7, seed=4)
+    bench_recorder.record(
+        "aligner", "global_align",
+        lambda: global_align(query, target), repeats=3 * REPEATS,
+    )
+    assert bench_recorder.groups["aligner"]["global_align"].median_seconds > 0

@@ -1,10 +1,24 @@
 """Pairwise global alignment and MSA assembly.
 
 After the search cascade accepts hits, they are aligned to the query to
-form the MSA rows that feed AF3's feature pipeline.  We use a
-vectorised Needleman-Wunsch with affine-free linear gap costs: row
-recurrences are numpy operations, and an int8 pointer matrix supports
-exact traceback.
+form the MSA rows that feed AF3's feature pipeline.  We use
+Needleman-Wunsch with affine-free linear gap costs, one numpy sweep per
+query residue, and an int8 pointer matrix for exact traceback.
+
+Within a row, cell ``j`` is the best of a diagonal or up move (both read
+the previous row, so they are whole-row numpy operations) and a left
+move from cell ``j - 1`` of the same row.  That left chain is a prefix
+max: with ``cand = [i*GAP, max(diag, up)...]`` and
+``ramp[j] = j*GAP``,
+
+    row[j] = max over k <= j of (cand[k] + (j - k)*GAP)
+           = max.accumulate(cand - ramp)[j] + ramp[j].
+
+Every score is a small integer (``MATCH_SCORE``, ``MISMATCH_SCORE`` and
+``GAP_SCORE`` are integer-valued) held in float64, so every sum and
+difference here is exact and the prefix max gives the cell-by-cell
+recurrence's rows bit for bit.  A cell points LEFT only when the left
+move is strictly better, so ties keep the DIAG/UP choice, DIAG first.
 """
 
 from __future__ import annotations
@@ -60,43 +74,44 @@ class PairwiseAlignment:
         )
 
 
-def global_align(query: str, target: str) -> PairwiseAlignment:
-    """Needleman-Wunsch with linear gaps; vectorised rows, exact traceback."""
-    if not query or not target:
-        raise ValueError("sequences must be non-empty")
+def _fill(query: str, target: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Fill the DP; return the traceback pointers and the last score row."""
     n, m = len(query), len(target)
     q = np.frombuffer(query.encode("ascii"), dtype=np.uint8)
     t = np.frombuffer(target.encode("ascii"), dtype=np.uint8)
     sub = np.where(q[:, None] == t[None, :], MATCH_SCORE, MISMATCH_SCORE)
 
-    score = np.empty(m + 1)
-    score[:] = np.arange(m + 1) * GAP_SCORE
+    ramp = np.arange(m + 1) * GAP_SCORE
+    score = ramp
+    cand = np.empty(m + 1)
     pointers = np.zeros((n + 1, m + 1), dtype=np.int8)
     pointers[0, 1:] = _LEFT
+    pointers[1:, 0] = _UP
     for i in range(1, n + 1):
-        prev = score.copy()
-        diag = prev[:-1] + sub[i - 1]
-        up = prev[1:] + GAP_SCORE
-        score[0] = i * GAP_SCORE
-        pointers[i, 0] = _UP
-        # LEFT moves depend on the current row left-to-right; resolve
-        # diag/up vectorised, then fix up lefts with a linear scan kept
-        # in numpy-friendly form.
+        diag = score[:-1] + sub[i - 1]
+        up = score[1:] + GAP_SCORE
         best = np.maximum(diag, up)
-        ptr = np.where(diag >= up, _DIAG, _UP).astype(np.int8)
-        row = score  # alias; filled in-place
-        for j in range(1, m + 1):
-            left = row[j - 1] + GAP_SCORE
-            if left > best[j - 1]:
-                row[j] = left
-                pointers[i, j] = _LEFT
-            else:
-                row[j] = best[j - 1]
-                pointers[i, j] = ptr[j - 1]
+        # Left moves chain along the row: a prefix max over
+        # cand[k] - k*GAP resolves them in one pass, exactly (integer
+        # scores in float64).
+        cand[0] = i * GAP_SCORE
+        cand[1:] = best
+        score = np.maximum.accumulate(cand - ramp) + ramp
+        pointers[i, 1:] = np.where(
+            score[:-1] + GAP_SCORE > best, _LEFT,
+            np.where(diag >= up, _DIAG, _UP),
+        )
+    return pointers, score
 
+
+def global_align(query: str, target: str) -> PairwiseAlignment:
+    """Needleman-Wunsch with linear gaps; vectorised rows, exact traceback."""
+    if not query or not target:
+        raise ValueError("sequences must be non-empty")
+    pointers, score = _fill(query, target)
     aligned_q: List[str] = []
     aligned_t: List[str] = []
-    i, j = n, m
+    i, j = len(query), len(target)
     while i > 0 or j > 0:
         move = pointers[i, j]
         if i > 0 and j > 0 and move == _DIAG:
@@ -115,7 +130,7 @@ def global_align(query: str, target: str) -> PairwiseAlignment:
     return PairwiseAlignment(
         aligned_query="".join(reversed(aligned_q)),
         aligned_target="".join(reversed(aligned_t)),
-        score=float(score[m]),
+        score=float(score[-1]),
     )
 
 
