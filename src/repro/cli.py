@@ -505,20 +505,44 @@ def cmd_campaign_differential(args: argparse.Namespace) -> int:
     return 0 if result.passed else 4
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import dataclasses
-    import os
+def _audit_exit(command: str, results, fmt: str) -> int:
+    """Print a chaos suite's results; exit 4 if any seed failed."""
+    if fmt == "json":
+        print(json.dumps(
+            {str(seed): r.summary() for seed, r in results.items()},
+            indent=2,
+        ))
+    else:
+        print("\n\n".join(r.render() for r in results.values()))
+    failing = [str(s) for s, r in results.items() if not r.ok]
+    if not failing:
+        return 0
+    print(
+        f"{command}: invariant violation or nondeterminism on "
+        f"seed(s) {', '.join(failing)}",
+        file=sys.stderr,
+    )
+    return 4
 
+
+def _seeds(args: argparse.Namespace):
+    return tuple(args.seeds) if args.seeds else (args.seed,)
+
+
+def _kinds(args: argparse.Namespace):
+    kinds = getattr(args, "kinds", None)
+    if not kinds:
+        return None
+    return tuple(k.strip() for k in kinds.split(",") if k.strip())
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import ChaosConfig, run_suite
 
-    quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     base = ChaosConfig(
         seed=args.seed,
         platform=args.platform,
-        num_requests=(
-            args.requests if args.requests is not None
-            else (40 if quick else 120)
-        ),
+        num_requests=args.requests,
         arrival_rps=args.rate,
         num_gpu_workers=args.gpu_workers,
         num_msa_workers=args.msa_workers,
@@ -531,38 +555,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         db_corruptions=args.db_corruptions,
         slow_nodes=args.slow_nodes,
         preemption_notices=args.preemption_notices,
-        kinds=(
-            tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            if args.kinds else None
-        ),
+        kinds=_kinds(args),
         restart_seconds=args.restart,
         breaker_failure_threshold=args.breaker_threshold,
         breaker_cooldown_seconds=args.breaker_cooldown,
         degraded_fallback=not args.no_degraded_fallback,
     )
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
     results = run_suite(
-        seeds, base, check_determinism=not args.no_determinism_check
+        _seeds(args), base, check_determinism=not args.no_determinism_check
     )
-    if args.format == "json":
-        print(json.dumps(
-            {str(seed): r.summary() for seed, r in results.items()},
-            indent=2,
-        ))
-    else:
-        for i, (seed, result) in enumerate(results.items()):
-            if i:
-                print()
-            print(result.render())
-    if all(r.ok for r in results.values()):
-        return 0
-    failing = [str(s) for s, r in results.items() if not r.ok]
-    print(
-        f"chaos: invariant violation or nondeterminism on "
-        f"seed(s) {', '.join(failing)}",
-        file=sys.stderr,
-    )
-    return 4
+    return _audit_exit("chaos", results, args.format)
 
 
 def _cluster_chaos_config(args: argparse.Namespace, policy: str, seed: int):
@@ -581,10 +583,7 @@ def _cluster_chaos_config(args: argparse.Namespace, policy: str, seed: int):
         preemptions=args.preemptions,
         slow_nodes=args.slow_nodes,
         store_corruptions=args.store_corruptions,
-        kinds=(
-            tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            if getattr(args, "kinds", None) else None
-        ),
+        kinds=_kinds(args),
         compile_cache=getattr(args, "compile_cache", "none"),
     )
 
@@ -593,12 +592,11 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
     from collections import OrderedDict
 
     from .cluster import render_pareto_table, pareto_rows
-    from .cluster.chaos import _run_once
 
     reports = OrderedDict()
     for policy in args.policies:
         config = _cluster_chaos_config(args, policy, args.seed)
-        _scheduler, report, _plan = _run_once(config)
+        _scheduler, report, _plan = config.run()
         reports[policy] = report
     if args.format == "json":
         print(json.dumps(OrderedDict(
@@ -620,36 +618,14 @@ def cmd_cluster_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_chaos(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
+    from .faults import run_suite
 
-    from .cluster import run_cluster_campaign
-
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
-    results = {}
-    for seed in seeds:
-        config = _cluster_chaos_config(args, args.policy, seed)
-        results[seed] = run_cluster_campaign(
-            config, check_determinism=not args.no_determinism_check
-        )
-    if args.format == "json":
-        print(json.dumps(
-            {str(seed): r.summary() for seed, r in results.items()},
-            indent=2,
-        ))
-    else:
-        for i, (seed, result) in enumerate(results.items()):
-            if i:
-                print()
-            print(result.render())
-    if all(r.ok for r in results.values()):
-        return 0
-    failing = [str(s) for s, r in results.items() if not r.ok]
-    print(
-        f"cluster-chaos: invariant violation or nondeterminism on "
-        f"seed(s) {', '.join(failing)}",
-        file=sys.stderr,
+    results = run_suite(
+        _seeds(args),
+        _cluster_chaos_config(args, args.policy, args.seed),
+        check_determinism=not args.no_determinism_check,
     )
-    return 4
+    return _audit_exit("cluster-chaos", results, args.format)
 
 
 def _bucket_fit_lengths(args: argparse.Namespace):
@@ -746,10 +722,7 @@ def _observed_run(args: argparse.Namespace):
 
     probe = SpanProbe()
     if args.chaos:
-        from .faults.chaos import _build
-
-        config = _chaos_config_from_args(args)
-        gateway, stream, _plan = _build(config, probe=probe)
+        _gateway, report, _plan = _chaos_config_from_args(args).run(probe)
     else:
         from .serving import (
             GatewayConfig,
@@ -775,8 +748,7 @@ def _observed_run(args: argparse.Namespace):
             arrivals=PoissonArrivals(args.rate, seed=args.seed),
             seed=args.seed,
         )
-        gateway = ServingGateway(platform, config, probe=probe)
-    report = gateway.run(stream)
+        report = ServingGateway(platform, config, probe=probe).run(stream)
     return probe, report
 
 
@@ -1090,9 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--platform", default="Server",
                        choices=sorted(PLATFORMS))
-    chaos.add_argument("--requests", type=int, default=None,
-                       help="requests per campaign (default 120, or 40 "
-                            "with REPRO_BENCH_QUICK=1)")
+    chaos.add_argument("--requests", type=int, default=120,
+                       help="requests per campaign")
     chaos.add_argument("--rate", type=float, default=0.02,
                        help="Poisson arrival rate in requests/second")
     chaos.add_argument("--gpu-workers", type=int, default=3)

@@ -16,7 +16,8 @@ Entry points:
   discrete-event loop over the fleet;
 * :data:`repro.cluster.autoscaler.POLICIES` — the policy registry the
   cost/throughput/latency Pareto study sweeps;
-* :func:`repro.cluster.chaos.run_cluster_suite` — the CI audit.
+* :class:`repro.cluster.chaos.ClusterChaosConfig` — the fleet domain
+  of the chaos audit (``repro.faults.run_suite``), the CI audit.
 """
 
 from .autoscaler import (
@@ -27,13 +28,7 @@ from .autoscaler import (
     PoolView,
     get_policy,
 )
-from .chaos import (
-    ClusterChaosConfig,
-    ClusterChaosResult,
-    check_cluster_invariants,
-    run_cluster_campaign,
-    run_cluster_suite,
-)
+from .chaos import ClusterChaosConfig, check_cluster_invariants
 from .jobs import (
     ChainStatus,
     ChainWork,
@@ -66,10 +61,7 @@ __all__ = [
     "PoolView",
     "get_policy",
     "ClusterChaosConfig",
-    "ClusterChaosResult",
     "check_cluster_invariants",
-    "run_cluster_campaign",
-    "run_cluster_suite",
     "ChainStatus",
     "ChainWork",
     "ClusterJob",

@@ -1,7 +1,8 @@
-"""Cluster chaos campaigns: seeded fault storms + invariant audit.
+"""Cluster chaos campaigns: the fleet domain of the chaos audit.
 
-The serving chaos harness (:mod:`repro.faults.chaos`) audits one
-machine; this one audits the fleet.  A campaign builds a seeded job
+The audit core (:mod:`repro.faults.chaos`: ``audit``, ``run_suite``,
+``ChaosResult``) runs every domain; its serving domain audits one
+machine, this one audits the fleet.  A campaign builds a seeded job
 stream, a seeded :class:`~repro.faults.plan.FaultPlan` mixing spot
 preemption notices with hard crashes and feature-store corruption, a
 fresh on-disk feature store, and runs them through the
@@ -21,19 +22,22 @@ the invariants a fault-tolerant scheduler must keep:
   ``double_billed_shards == 0``); store corruption is the audited
   exception — a rotten entry *must* be recomputed, and the ledger
   strikes it from the trusted set before the recompute happens;
-* **determinism** — the same seed yields a byte-identical report.
+* **determinism** — the same seed yields a byte-identical report
+  (the core's rerun).
+
+Audit one campaign with ``repro.faults.run_campaign(ClusterChaosConfig(...))``
+or a seed sweep with ``repro.faults.run_suite(seeds, ClusterChaosConfig())``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import shutil
 import tempfile
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..faults.plan import FaultKind, FaultPlan, restrict_kinds
+from ..faults.plan import FaultKind, FaultPlan, restrict_kinds, validate_kinds
 from ..store.feature_store import FeatureStore
 from .jobs import build_job_stream
 from .nodes import NodeState
@@ -41,10 +45,8 @@ from .scheduler import ClusterConfig, ClusterScheduler
 
 __all__ = [
     "ClusterChaosConfig",
-    "ClusterChaosResult",
+    "build_campaign",
     "check_cluster_invariants",
-    "run_cluster_campaign",
-    "run_cluster_suite",
 ]
 
 #: Worker-index space for cluster fault plans.  Plans target abstract
@@ -52,10 +54,6 @@ __all__ = [
 #: strike time, so any value comfortably above the fleet size works
 #: and keeps one plan meaningful across autoscale policies.
 _PLAN_WORKER_SPACE = 64
-
-
-class ClusterInvariantViolation(AssertionError):
-    """A cluster chaos campaign broke a scheduling invariant."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,64 +89,38 @@ class ClusterChaosConfig:
             raise ValueError("num_jobs must be >= 1")
         if not 0 < self.horizon_scale <= 1:
             raise ValueError("horizon_scale must be in (0, 1]")
-        if self.kinds is not None:
-            valid = {kind.value for kind in FaultKind}
-            unknown = [k for k in self.kinds if k not in valid]
-            if unknown:
-                raise ValueError(
-                    f"unknown fault kinds {unknown}; "
-                    f"valid: {sorted(valid)}"
-                )
+        validate_kinds(self.kinds)
 
-
-@dataclasses.dataclass
-class ClusterChaosResult:
-    """What one campaign produced: the plan, the report, the audit."""
-
-    config: ClusterChaosConfig
-    plan: FaultPlan
-    report: object                  # ClusterReport
-    violations: List[str]
-    deterministic: Optional[bool]   # None when the rerun was skipped
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.deterministic is not False
-
-    def summary(self) -> "OrderedDict[str, object]":
+    def header(self) -> "OrderedDict[str, object]":
+        """The identity fields heading this campaign's audit summary."""
         return OrderedDict(
-            seed=self.config.seed,
-            jobs=self.config.num_jobs,
-            policy=self.config.policy,
-            migration=self.config.migration,
-            fault_events=len(self.plan),
-            fault_kinds=self.plan.kind_counts(),
-            invariants_ok=self.ok,
-            deterministic=self.deterministic,
-            violations=list(self.violations),
-            report=self.report.summary(),
+            seed=self.seed,
+            jobs=self.num_jobs,
+            policy=self.policy,
+            migration=self.migration,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
+    def run(self, probe=None):
+        """One full campaign run against a fresh throwaway store.
 
-    def render(self) -> str:
-        lines = [self.report.render()]
-        verdict = "PASS" if self.ok else "FAIL"
-        determinism = {
-            True: "byte-identical rerun",
-            False: "RERUN DIVERGED",
-            None: "rerun skipped",
-        }[self.deterministic]
-        lines.append(
-            f"  chaos      : seed {self.config.seed}, "
-            f"{len(self.plan)} fault events over "
-            f"{len(self.plan.active_kinds)} kinds -> "
-            f"invariants {verdict} ({determinism})"
-        )
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        return "\n".join(lines)
+        Returns ``(scheduler, report, plan)``; ``probe`` is an optional
+        :class:`~repro.observability.ClusterProbe`.
+        """
+        jobs, plan, cluster_config = build_campaign(self)
+        root = tempfile.mkdtemp(prefix="repro-cluster-chaos-")
+        try:
+            store = FeatureStore(root)
+            scheduler = ClusterScheduler(
+                cluster_config, store=store, fault_plan=plan, probe=probe
+            )
+            report = scheduler.run(jobs)
+        finally:
+            shutil.rmtree(root, ignore_errors=True)
+        return scheduler, report, plan
+
+    def check(self, scheduler, report) -> List[str]:
+        """This domain's invariants: :func:`check_cluster_invariants`."""
+        return check_cluster_invariants(scheduler, report)
 
 
 def build_campaign(config: ClusterChaosConfig):
@@ -182,21 +154,6 @@ def build_campaign(config: ClusterChaosConfig):
         compile_cache=config.compile_cache,
     )
     return jobs, plan, cluster_config
-
-
-def _run_once(config: ClusterChaosConfig, probe=None):
-    """One full campaign run against a fresh throwaway store."""
-    jobs, plan, cluster_config = build_campaign(config)
-    root = tempfile.mkdtemp(prefix="repro-cluster-chaos-")
-    try:
-        store = FeatureStore(root)
-        scheduler = ClusterScheduler(
-            cluster_config, store=store, fault_plan=plan, probe=probe
-        )
-        report = scheduler.run(jobs)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return scheduler, report, plan
 
 
 def check_cluster_invariants(scheduler, report) -> List[str]:
@@ -288,51 +245,3 @@ def check_cluster_invariants(scheduler, report) -> List[str]:
                 f"{undone}"
             )
     return violations
-
-
-def run_cluster_campaign(
-    config: Optional[ClusterChaosConfig] = None,
-    check_determinism: bool = True,
-) -> ClusterChaosResult:
-    """Run one seeded cluster campaign and audit its invariants."""
-    config = config or ClusterChaosConfig()
-    scheduler, report, plan = _run_once(config)
-    violations = check_cluster_invariants(scheduler, report)
-    deterministic: Optional[bool] = None
-    if check_determinism:
-        _, report2, _ = _run_once(config)
-        deterministic = (
-            json.dumps(report.summary(), indent=2)
-            == json.dumps(report2.summary(), indent=2)
-        )
-        if not deterministic:
-            violations.append(
-                "seeded rerun produced a different report "
-                "(nondeterminism)"
-            )
-    return ClusterChaosResult(
-        config=config,
-        plan=plan,
-        report=report,
-        violations=violations,
-        deterministic=deterministic,
-    )
-
-
-def run_cluster_suite(
-    seeds: Tuple[int, ...] = (0, 1, 2),
-    base: Optional[ClusterChaosConfig] = None,
-    check_determinism: bool = True,
-) -> Dict[int, ClusterChaosResult]:
-    """One campaign per seed (the CI cluster job's entry point)."""
-    base = base or ClusterChaosConfig()
-    return OrderedDict(
-        (
-            seed,
-            run_cluster_campaign(
-                dataclasses.replace(base, seed=seed),
-                check_determinism=check_determinism,
-            ),
-        )
-        for seed in seeds
-    )

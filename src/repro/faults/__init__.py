@@ -2,8 +2,9 @@
 
 ``plan`` defines seeded fault schedules (:class:`FaultPlan`), ``recovery``
 the machinery that survives them (worker health, circuit breakers, MSA
-scan checkpoints), and ``chaos`` the campaign harness that runs seeded
-fault schedules against the gateway and checks its invariants.
+scan checkpoints), and ``chaos`` the audit harness that runs seeded
+fault schedules against a domain (the gateway, or the cluster
+scheduler via :mod:`repro.cluster.chaos`) and checks its invariants.
 
 ``chaos`` imports the serving package, which itself imports ``plan`` and
 ``recovery`` — so it is loaded lazily here to keep the import graph
@@ -40,12 +41,13 @@ __all__ = [
     "FaultPlan",
     "FaultStats",
     "GPU_DOMAIN",
-    "InvariantViolation",
     "KillSwitch",
     "MSA_DOMAIN",
     "MsaCheckpoint",
     "SimulatedKill",
     "WorkerHealth",
+    "audit",
+    "check_invariants",
     "merge_plans",
     "restrict_kinds",
     "run_campaign",
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 _CHAOS_EXPORTS = {
-    "ChaosConfig", "ChaosResult", "InvariantViolation",
+    "ChaosConfig", "ChaosResult", "audit", "check_invariants",
     "run_campaign", "run_suite",
 }
 

@@ -1,9 +1,25 @@
-"""Chaos campaigns: seeded fault schedules + invariant checking.
+"""Chaos campaigns: seeded fault schedules + invariant audits.
 
-A campaign builds a seeded request stream and a seeded
-:class:`~repro.faults.plan.FaultPlan`, runs them through the serving
-gateway, and then audits the wreckage against the invariants a serving
-system must keep under failure:
+One audit core serves every fault domain.  A domain is a frozen config
+dataclass (with a ``seed`` field) that can run itself and knows what
+its runs must keep:
+
+* ``config.run(probe=None)`` — the domain's builder: build the seeded
+  workload and :class:`~repro.faults.plan.FaultPlan`, run them once,
+  and return ``(subject, report, plan)``;
+* ``config.check(subject, report)`` — the domain's invariant list,
+  returning violation descriptions;
+* ``config.header()`` — the identity fields heading the audit summary.
+
+:func:`audit` runs a campaign, checks it and, with
+``check_determinism``, runs it a second time: the serialized report
+summaries must match byte for byte.  :func:`run_suite` audits one
+campaign per seed; :class:`ChaosResult` is what both return, whatever
+the domain.
+
+This module holds the serving domain, :class:`ChaosConfig`, which runs
+the gateway and audits the invariants a serving system must keep under
+failure:
 
 * **no request lost** — every admitted request reaches a terminal
   state (full-quality done, degraded done, shed, timed out, or
@@ -17,6 +33,7 @@ system must keep under failure:
 * **determinism** — the same seed yields a byte-identical report,
   faults and all.
 
+The fleet domain is :class:`repro.cluster.chaos.ClusterChaosConfig`.
 Campaigns are exactly as reproducible as fault-free runs: the golden
 chaos test pins one seeded campaign's entire summary.
 """
@@ -28,11 +45,114 @@ import json
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from .plan import FaultKind, FaultPlan, restrict_kinds
+from .plan import FaultKind, FaultPlan, restrict_kinds, validate_kinds
 
 
-class InvariantViolation(AssertionError):
-    """A chaos campaign broke a serving invariant."""
+@dataclasses.dataclass
+class ChaosResult:
+    """What one audited campaign produced: the plan, the report, the
+    audit.  ``config`` is any domain's config."""
+
+    config: object
+    plan: FaultPlan
+    report: object
+    violations: List[str]
+    deterministic: Optional[bool]   # None when the rerun was skipped
+
+    @property
+    def ok(self) -> bool:
+        """Invariants held and the rerun (if run) was byte-identical."""
+        return not self.violations and self.deterministic is not False
+
+    def summary(self) -> "OrderedDict[str, object]":
+        """Rounded, ordered, JSON-stable campaign summary."""
+        return OrderedDict(
+            self.config.header(),
+            fault_events=len(self.plan),
+            fault_kinds=self.plan.kind_counts(),
+            invariants_ok=self.ok,
+            deterministic=self.deterministic,
+            violations=list(self.violations),
+            report=self.report.summary(),
+        )
+
+    def to_json(self) -> str:
+        """The summary as indented JSON (the golden chaos form)."""
+        return json.dumps(self.summary(), indent=2)
+
+    def render(self) -> str:
+        """The report's ASCII rendering plus a chaos verdict line."""
+        lines = [self.report.render()]
+        verdict = "PASS" if self.ok else "FAIL"
+        determinism = {
+            True: "byte-identical rerun",
+            False: "RERUN DIVERGED",
+            None: "rerun skipped",
+        }[self.deterministic]
+        lines.append(
+            f"  chaos      : seed {self.config.seed}, "
+            f"{len(self.plan)} fault events over "
+            f"{len(self.plan.active_kinds)} kinds -> "
+            f"invariants {verdict} ({determinism})"
+        )
+        for violation in self.violations:
+            lines.append(f"    VIOLATION: {violation}")
+        return "\n".join(lines)
+
+
+def audit(config, check_determinism: bool) -> ChaosResult:
+    """Run one seeded campaign of any domain and audit its invariants.
+
+    With ``check_determinism`` the whole campaign runs twice and the
+    serialized report summaries must match byte for byte — the same
+    guarantee the fault-free golden tests pin, extended to fault runs.
+    """
+    subject, report, plan = config.run()
+    violations = config.check(subject, report)
+    deterministic: Optional[bool] = None
+    if check_determinism:
+        _, rerun, _ = config.run()
+        deterministic = (
+            json.dumps(report.summary(), indent=2)
+            == json.dumps(rerun.summary(), indent=2)
+        )
+        if not deterministic:
+            violations.append(
+                "seeded rerun produced a different report (nondeterminism)"
+            )
+    return ChaosResult(
+        config=config,
+        plan=plan,
+        report=report,
+        violations=violations,
+        deterministic=deterministic,
+    )
+
+
+def run_suite(
+    seeds: Tuple[int, ...] = (0, 1, 2),
+    base: Optional[object] = None,
+    check_determinism: bool = True,
+) -> Dict[int, ChaosResult]:
+    """One audited campaign per seed of ``base`` (either domain's
+    config; the serving default when omitted) — the CI chaos jobs'
+    entry point."""
+    base = base or ChaosConfig()
+    return OrderedDict(
+        (seed, audit(dataclasses.replace(base, seed=seed), check_determinism))
+        for seed in seeds
+    )
+
+
+def run_campaign(
+    config: Optional[object] = None,
+    check_determinism: bool = True,
+) -> ChaosResult:
+    """Audit one seeded campaign (the serving default when omitted)."""
+    return audit(config or ChaosConfig(), check_determinism)
+
+
+# -- the serving domain ----------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,14 +199,7 @@ class ChaosConfig:
             raise ValueError("num_requests must be >= 1")
         if not 0 < self.horizon_scale <= 1:
             raise ValueError("horizon_scale must be in (0, 1]")
-        if self.kinds is not None:
-            valid = {kind.value for kind in FaultKind}
-            unknown = [k for k in self.kinds if k not in valid]
-            if unknown:
-                raise ValueError(
-                    f"unknown fault kinds {unknown}; "
-                    f"valid: {sorted(valid)}"
-                )
+        validate_kinds(self.kinds)
 
     def fault_counts(self) -> "OrderedDict[str, int]":
         """The per-kind event counts the plan generator is fed."""
@@ -101,118 +214,73 @@ class ChaosConfig:
             preemption_notices=self.preemption_notices,
         )
 
-
-@dataclasses.dataclass
-class ChaosResult:
-    """What one campaign produced: the plan, the report, the audit."""
-
-    config: ChaosConfig
-    plan: FaultPlan
-    report: object                  # ServingReport
-    violations: List[str]
-    deterministic: Optional[bool]   # None when the rerun was skipped
-
-    @property
-    def ok(self) -> bool:
-        """Invariants held and the rerun (if run) was byte-identical."""
-        return not self.violations and self.deterministic is not False
-
-    def summary(self) -> "OrderedDict[str, object]":
-        """Rounded, ordered, JSON-stable campaign summary."""
+    def header(self) -> "OrderedDict[str, object]":
+        """The identity fields heading this campaign's audit summary."""
         return OrderedDict(
-            seed=self.config.seed,
-            platform=self.config.platform,
-            requests=self.config.num_requests,
-            fault_events=len(self.plan),
-            fault_kinds=self.plan.kind_counts(),
-            invariants_ok=self.ok,
-            deterministic=self.deterministic,
-            violations=list(self.violations),
-            report=self.report.summary(),
+            seed=self.seed,
+            platform=self.platform,
+            requests=self.num_requests,
         )
 
-    def to_json(self) -> str:
-        """The summary as indented JSON (the golden chaos form)."""
-        return json.dumps(self.summary(), indent=2)
+    def run(self, probe=None):
+        """Run the gateway over this campaign's seeded stream and plan.
 
-    def render(self) -> str:
-        """The report's ASCII rendering plus a chaos verdict line."""
-        lines = [self.report.render()]
-        verdict = "PASS" if self.ok else "FAIL"
-        determinism = {
-            True: "byte-identical rerun",
-            False: "RERUN DIVERGED",
-            None: "rerun skipped",
-        }[self.deterministic]
-        lines.append(
-            f"  chaos      : seed {self.config.seed}, "
-            f"{len(self.plan)} fault events over "
-            f"{sum(1 for _ in self.plan.active_kinds)} kinds -> "
-            f"invariants {verdict} ({determinism})"
+        Returns ``(gateway, report, plan)``.  ``probe`` is an optional
+        :class:`~repro.observability.GatewayProbe` forwarded to the
+        gateway, so chaos runs can record span timelines without
+        changing what the campaign simulates.
+        """
+        from ..hardware.platform import get_platform
+        from ..sequences.builtin import builtin_samples
+        from ..serving import (
+            GatewayConfig,
+            PoissonArrivals,
+            ServingGateway,
+            build_request_stream,
         )
-        for violation in self.violations:
-            lines.append(f"    VIOLATION: {violation}")
-        return "\n".join(lines)
 
-
-def _build(config: ChaosConfig, probe=None, store=None):
-    """The (gateway, stream, plan) triple a campaign config describes.
-
-    ``probe`` is an optional :class:`~repro.observability.GatewayProbe`
-    forwarded to the gateway, so chaos runs can record span timelines
-    without changing what the campaign simulates.  ``store`` is an
-    optional :class:`~repro.store.FeatureStore` — required for
-    ``store_corruptions`` events to have anything to tamper (without
-    one they count as noops, which is itself an audited behaviour).
-    """
-    from ..hardware.platform import get_platform
-    from ..sequences.builtin import builtin_samples
-    from ..serving import (
-        GatewayConfig,
-        PoissonArrivals,
-        ServingGateway,
-        build_request_stream,
-    )
-
-    platform = get_platform(config.platform)
-    stream = build_request_stream(
-        list(builtin_samples().values()),
-        n=config.num_requests,
-        arrivals=PoissonArrivals(config.arrival_rps, seed=config.seed),
-        seed=config.seed,
-    )
-    horizon = stream[-1].arrival_seconds * config.horizon_scale
-    plan = FaultPlan.generate(
-        seed=config.seed,
-        horizon_seconds=max(horizon, 1.0),
-        num_gpu_workers=config.num_gpu_workers,
-        num_msa_workers=config.num_msa_workers,
-        **config.fault_counts(),
-    )
-    if config.kinds is not None:
-        plan = restrict_kinds(
-            plan, (FaultKind(value) for value in config.kinds)
+        stream = build_request_stream(
+            list(builtin_samples().values()),
+            n=self.num_requests,
+            arrivals=PoissonArrivals(self.arrival_rps, seed=self.seed),
+            seed=self.seed,
         )
-    gateway_config = GatewayConfig(
-        num_gpu_workers=config.num_gpu_workers,
-        num_msa_workers=config.num_msa_workers,
-        max_batch=config.max_batch,
-        max_wait_seconds=config.max_wait_seconds,
-        queue_limit=config.queue_limit,
-        timeout_seconds=config.timeout_seconds,
-        max_retries=config.max_retries,
-        retry_backoff_seconds=config.retry_backoff_seconds,
-        restart_seconds=config.restart_seconds,
-        breaker_failure_threshold=config.breaker_failure_threshold,
-        breaker_cooldown_seconds=config.breaker_cooldown_seconds,
-        degraded_fallback=config.degraded_fallback,
-        degraded_msa_depth=config.degraded_msa_depth,
-    )
-    gateway = ServingGateway(
-        platform, gateway_config, fault_plan=plan, probe=probe,
-        store=store,
-    )
-    return gateway, stream, plan
+        horizon = stream[-1].arrival_seconds * self.horizon_scale
+        plan = FaultPlan.generate(
+            seed=self.seed,
+            horizon_seconds=max(horizon, 1.0),
+            num_gpu_workers=self.num_gpu_workers,
+            num_msa_workers=self.num_msa_workers,
+            **self.fault_counts(),
+        )
+        if self.kinds is not None:
+            plan = restrict_kinds(
+                plan, (FaultKind(value) for value in self.kinds)
+            )
+        gateway_config = GatewayConfig(
+            num_gpu_workers=self.num_gpu_workers,
+            num_msa_workers=self.num_msa_workers,
+            max_batch=self.max_batch,
+            max_wait_seconds=self.max_wait_seconds,
+            queue_limit=self.queue_limit,
+            timeout_seconds=self.timeout_seconds,
+            max_retries=self.max_retries,
+            retry_backoff_seconds=self.retry_backoff_seconds,
+            restart_seconds=self.restart_seconds,
+            breaker_failure_threshold=self.breaker_failure_threshold,
+            breaker_cooldown_seconds=self.breaker_cooldown_seconds,
+            degraded_fallback=self.degraded_fallback,
+            degraded_msa_depth=self.degraded_msa_depth,
+        )
+        gateway = ServingGateway(
+            get_platform(self.platform), gateway_config,
+            fault_plan=plan, probe=probe,
+        )
+        return gateway, gateway.run(stream), plan
+
+    def check(self, gateway, report) -> List[str]:
+        """This domain's invariants: :func:`check_invariants`."""
+        return check_invariants(gateway, report)
 
 
 def check_invariants(gateway, report) -> List[str]:
@@ -303,54 +371,3 @@ def check_invariants(gateway, report) -> List[str]:
             "degraded responses served without being counted as such"
         )
     return violations
-
-
-def run_campaign(
-    config: Optional[ChaosConfig] = None,
-    check_determinism: bool = True,
-) -> ChaosResult:
-    """Run one seeded chaos campaign and audit its invariants.
-
-    With ``check_determinism`` the whole campaign runs twice and the
-    serialized summaries must match byte for byte — the same guarantee
-    the fault-free golden tests pin, extended to fault runs.
-    """
-    config = config or ChaosConfig()
-    gateway, stream, plan = _build(config)
-    report = gateway.run(stream)
-    violations = check_invariants(gateway, report)
-    deterministic: Optional[bool] = None
-    if check_determinism:
-        gateway2, stream2, _ = _build(config)
-        report2 = gateway2.run(stream2)
-        deterministic = report.to_json() == report2.to_json()
-        if not deterministic:
-            violations.append(
-                "seeded rerun produced a different report (nondeterminism)"
-            )
-    return ChaosResult(
-        config=config,
-        plan=plan,
-        report=report,
-        violations=violations,
-        deterministic=deterministic,
-    )
-
-
-def run_suite(
-    seeds: Tuple[int, ...] = (0, 1, 2),
-    base: Optional[ChaosConfig] = None,
-    check_determinism: bool = True,
-) -> Dict[int, ChaosResult]:
-    """One campaign per seed (the CI chaos job's entry point)."""
-    base = base or ChaosConfig()
-    return OrderedDict(
-        (
-            seed,
-            run_campaign(
-                dataclasses.replace(base, seed=seed),
-                check_determinism=check_determinism,
-            ),
-        )
-        for seed in seeds
-    )

@@ -262,6 +262,19 @@ def restrict_kinds(
     return FaultPlan(e for e in plan if e.kind in wanted)
 
 
+def validate_kinds(kinds: Optional[Iterable[str]]) -> None:
+    """Reject a fault-kind whitelist (``FaultKind`` values) that names
+    a kind which does not exist; ``None`` means every kind."""
+    if kinds is None:
+        return
+    valid = {kind.value for kind in FaultKind}
+    unknown = [k for k in kinds if k not in valid]
+    if unknown:
+        raise ValueError(
+            f"unknown fault kinds {unknown}; valid: {sorted(valid)}"
+        )
+
+
 def merge_plans(*plans: Optional[FaultPlan]) -> FaultPlan:
     """Combine plans into one schedule (event ids are reassigned)."""
     events: List[FaultEvent] = []

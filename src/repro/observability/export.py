@@ -11,10 +11,11 @@ operators already have open:
   and each request's span tree renders as an async (``b``/``e``) track
   keyed by its request id, so a p99 request can be followed end to
   end.  Simulated seconds map to trace microseconds.
-* :func:`prometheus_metrics` — a Prometheus text exposition of a
-  :class:`~repro.serving.metrics.ServingReport` summary, for piping
-  the existing golden counters into any metrics stack without a new
-  schema.
+* :func:`prometheus_metrics`, :func:`cluster_prometheus_metrics` and
+  :func:`campaign_prometheus_metrics` — Prometheus text expositions of
+  the serving, cluster and campaign summaries, for piping the existing
+  golden counters into any metrics stack without a new schema.  One
+  emitter renders all three, each from its own table of metric rows.
 
 Both are pure functions of their inputs with fully ordered output:
 exporting the same seeded run twice yields byte-identical text (the
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from collections import OrderedDict, namedtuple
+from typing import Dict, List, Optional, Tuple
 
 from .spans import KIND_INSTANT, REQUEST_TRACK, Span, SpanRecorder
 
@@ -179,365 +180,311 @@ def chrome_trace_json(
     return json.dumps(payload, indent=indent)
 
 
+
+
 # -- Prometheus text exposition -----------------------------------------
 
-#: summary field -> (metric suffix, prometheus type, help text).
-_COUNTERS = [
-    ("submitted", "submitted_total", "Requests submitted to the gateway."),
-    ("completed", "completed_total", "Full-quality completions."),
-    ("degraded", "degraded_total",
-     "Completions served via the reduced-depth degraded fallback."),
-    ("shed", "shed_total", "Requests rejected by admission control."),
-    ("timed_out", "timed_out_total",
-     "Requests that exhausted their retries."),
-    ("failed_oom", "failed_oom_total",
-     "Requests that exceed device memory even alone."),
-    ("retries", "retries_total", "Timeout-triggered retry admissions."),
-    ("retries_exhausted", "retries_exhausted_total",
-     "Requests whose retry budget was exhausted."),
-    ("oom_events", "oom_events_total",
-     "Batch dispatches that hit device OOM."),
-    ("batches_dispatched", "batches_total", "GPU batches dispatched."),
-    ("cache_hits", "msa_cache_hits_total", "MSA result cache hits."),
-    ("cache_misses", "msa_cache_misses_total", "MSA result cache misses."),
-    ("coalesced_msa", "msa_coalesced_total",
-     "Requests coalesced onto an in-flight MSA computation."),
-]
+#: One row of a metric table.  ``path`` names a summary field, dotted
+#: for nested keys; a row whose path reaches into a section the run
+#: did not produce (``store``, ``faults``, ...) is skipped.  A ``*``
+#: component fans out over a mapping: with ``labels`` each entry is one
+#: series of the metric, labelled by the entry's key (further labels
+#: are read from the entry itself); without, each numeric key is its own
+#: metric, ``*`` in ``suffix`` replaced by the key and ``mtype`` holding
+#: the keys that are gauges (the rest are counters).
+_Metric = namedtuple("_Metric", "path suffix mtype help labels")
 
-_GAUGES = [
-    ("duration_seconds", "duration_seconds",
-     "Simulated makespan, first arrival to last event."),
-    ("throughput_rps", "throughput_rps",
-     "Full-quality completions per simulated second."),
-    ("gpu_utilization", "gpu_utilization_ratio",
-     "GPU-pool busy fraction of capacity."),
-    ("msa_utilization", "msa_utilization_ratio",
-     "MSA-pool busy fraction of capacity."),
-    ("mean_batch_size", "batch_size_mean", "Mean dispatched batch size."),
-    ("batch_fill", "batch_fill_ratio",
-     "Mean batch size over the max batch size."),
-    ("cache_hit_rate", "msa_cache_hit_ratio", "MSA cache hit fraction."),
-]
 
-_LATENCY_SECTIONS = [
-    ("latency", "latency_seconds", "End-to-end latency, completed requests."),
-    ("msa_queue_wait", "msa_queue_wait_seconds",
-     "Wait for an MSA worker, completed requests."),
-    ("batch_queue_wait", "batch_queue_wait_seconds",
-     "Wait in the dynamic batcher, completed requests."),
-]
+def _rows(mtype, *rows) -> Tuple[_Metric, ...]:
+    """Unlabelled rows of one type from ``(path, suffix, help)`` triples."""
+    return tuple(_Metric(path, suffix, mtype, help_text, ())
+                 for path, suffix, help_text in rows)
+
 
 _QUANTILES = [("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99")]
+
+_STORE = _Metric(
+    "store.*", "store_*", ("hit_rate", "entries", "total_bytes"),
+    "Feature-store counter (see docs/metrics_reference.md).", (),
+)
+_FAULTS = _Metric(
+    "faults.*", "fault_*", ("rewarm_seconds", "stall_seconds"),
+    "Fault/recovery counter (see docs/metrics_reference.md).", (),
+)
+_CACHE_GAUGES = ("entries", "hit_cost_seconds", "seconds_saved")
+
+#: ``ServingReport.summary()``, labelled by platform.
+_SERVING = (
+    *_rows(
+        "gauge",
+        ("gpu_workers", "gpu_workers", "GPU workers in the pool."),
+        ("msa_workers", "msa_workers", "MSA workers in the pool."),
+    ),
+    *_rows(
+        "counter",
+        ("submitted", "submitted_total", "Requests submitted to the gateway."),
+        ("completed", "completed_total", "Full-quality completions."),
+        ("degraded", "degraded_total",
+         "Completions served via the reduced-depth degraded fallback."),
+        ("shed", "shed_total", "Requests rejected by admission control."),
+        ("timed_out", "timed_out_total",
+         "Requests that exhausted their retries."),
+        ("failed_oom", "failed_oom_total",
+         "Requests that exceed device memory even alone."),
+        ("retries", "retries_total", "Timeout-triggered retry admissions."),
+        ("retries_exhausted", "retries_exhausted_total",
+         "Requests whose retry budget was exhausted."),
+        ("oom_events", "oom_events_total",
+         "Batch dispatches that hit device OOM."),
+        ("batches_dispatched", "batches_total", "GPU batches dispatched."),
+        ("cache_hits", "msa_cache_hits_total", "MSA result cache hits."),
+        ("cache_misses", "msa_cache_misses_total",
+         "MSA result cache misses."),
+        ("coalesced_msa", "msa_coalesced_total",
+         "Requests coalesced onto an in-flight MSA computation."),
+    ),
+    *_rows(
+        "gauge",
+        ("duration_seconds", "duration_seconds",
+         "Simulated makespan, first arrival to last event."),
+        ("throughput_rps", "throughput_rps",
+         "Full-quality completions per simulated second."),
+        ("gpu_utilization", "gpu_utilization_ratio",
+         "GPU-pool busy fraction of capacity."),
+        ("msa_utilization", "msa_utilization_ratio",
+         "MSA-pool busy fraction of capacity."),
+        ("mean_batch_size", "batch_size_mean", "Mean dispatched batch size."),
+        ("batch_fill", "batch_fill_ratio",
+         "Mean batch size over the max batch size."),
+        ("cache_hit_rate", "msa_cache_hit_ratio", "MSA cache hit fraction."),
+    ),
+    *_rows(
+        "summary",
+        ("latency", "latency_seconds",
+         "End-to-end latency, completed requests."),
+        ("msa_queue_wait", "msa_queue_wait_seconds",
+         "Wait for an MSA worker, completed requests."),
+        ("batch_queue_wait", "batch_queue_wait_seconds",
+         "Wait in the dynamic batcher, completed requests."),
+    ),
+    _STORE,
+    _Metric("faults.plan.*", "fault_planned_total", "counter",
+            "Fault events scheduled by the plan, by kind.", ("kind",)),
+    _FAULTS,
+    *_rows("counter", *(
+        (f"bucket_waste.{key}", f"bucket_waste_{key}_total",
+         "Padded-shape accounting of the configured bucket list "
+         "(see docs/metrics_reference.md).")
+        for key in ("requests", "real_tokens", "padded_tokens",
+                    "waste_tokens")
+    )),
+    _Metric("bucket_waste.waste_pct", "bucket_waste_ratio", "gauge",
+            "Waste tokens over padded tokens, percent.", ()),
+    _Metric("bucket_waste.per_bucket.*.requests", "bucket_requests",
+            "counter", "Requests landing in each bucket edge.", ("bucket",)),
+    _Metric("compile_cache.*", "compile_cache_*", _CACHE_GAUGES,
+            "Shared XLA compile-cache counter "
+            "(see docs/metrics_reference.md).", ()),
+)
+
+#: ``ClusterReport.summary()``, labelled by autoscale policy.
+_CLUSTER = (
+    *_rows(
+        "counter",
+        ("submitted", "jobs_submitted_total",
+         "Jobs submitted to the cluster."),
+        ("completed", "jobs_completed_total", "Jobs that finished inference."),
+        ("failed", "jobs_failed_total",
+         "Jobs that exhausted their retry budget."),
+        ("attempts", "job_attempts_total", "Node assignments (all attempts)."),
+        ("migrations", "migrations_total",
+         "Drain-requeues after a spot preemption notice."),
+        ("crash_requeues", "crash_requeues_total",
+         "Requeues after a crash or zero-warning reclaim."),
+        ("chains_scanned", "chains_scanned_total",
+         "Per-chain MSA scans run on cluster nodes."),
+        ("store_chain_hits", "store_chain_hits_total",
+         "Chain scans avoided via the shared feature store."),
+        ("chains_published", "chains_published_total",
+         "Chain features published to the shared store."),
+        ("resumed_shards", "resumed_shards_total",
+         "DB shards skipped by resuming drain checkpoints."),
+        ("drain_publishes", "drain_publishes_total",
+         "Chains published during preemption drains."),
+        ("drain_checkpoints", "drain_checkpoints_total",
+         "In-flight scans checkpointed during drains."),
+        ("corrupted_keys", "store_corrupted_keys_total",
+         "Trusted store keys struck by corruption."),
+        ("migrated_recomputed_chains", "migrated_recomputed_chains_total",
+         "Chain scans re-run despite a completed pre-drain scan "
+         "(the no-double-execution audit pins this at 0)."),
+        ("double_billed_shards", "double_billed_shards_total",
+         "Checkpointed shards billed twice on resume (audit pins 0)."),
+        ("scale_outs", "scale_out_nodes_total",
+         "Nodes booted by autoscaling."),
+        ("scale_ins", "scale_in_nodes_total",
+         "Idle nodes terminated by autoscaling."),
+        ("queue_pushes", "queue_pushes_total", "Job queue admissions."),
+        ("queue_requeues", "queue_requeues_total",
+         "Job queue re-admissions."),
+    ),
+    *_rows(
+        "gauge",
+        ("duration_seconds", "duration_seconds",
+         "Simulated makespan of the cluster run."),
+        ("scan_seconds_billed", "scan_seconds_billed",
+         "Node-seconds billed to MSA chain scans."),
+        ("gpu_seconds_billed", "gpu_seconds_billed",
+         "Node-seconds billed to GPU inference."),
+        ("cost_usd", "cost_usd", "Total fleet cost, boot to termination."),
+        ("cost_per_job_usd", "cost_per_job_usd",
+         "Fleet cost per completed job."),
+        ("throughput_jobs_per_hour", "throughput_jobs_per_hour",
+         "Completed jobs per simulated hour."),
+    ),
+    _Metric("latency", "job_latency_seconds", "summary",
+            "Arrival-to-completion latency, completed jobs.", ()),
+    *(
+        _Metric(f"pools.*.{field}", suffix, "gauge", help_text,
+                ("pool", "spot"))
+        for field, suffix, help_text in (
+            ("nodes_booted", "pool_nodes_booted", "Nodes booted in the pool."),
+            ("nodes_terminated", "pool_nodes_terminated",
+             "Pool nodes preempted or scaled in."),
+            ("peak_nodes", "pool_peak_nodes",
+             "Max simultaneously-alive nodes in the pool."),
+            ("busy_seconds", "pool_busy_seconds",
+             "Node-seconds the pool spent on jobs."),
+            ("billed_seconds", "pool_billed_seconds",
+             "Node-seconds the pool was billed for."),
+            ("cost_usd", "pool_cost_usd", "Pool cost over the run."),
+            ("utilization", "pool_utilization_ratio",
+             "Busy fraction of billed pool time."),
+        )
+    ),
+    _FAULTS,
+    _STORE,
+    _Metric("compile_cache.*", "compile_cache_*", _CACHE_GAUGES,
+            "Fleet-shared XLA compile-cache counter "
+            "(see docs/metrics_reference.md).", ()),
+)
+
+#: ``repro.campaign.cohort_summary()``, labelled by platform.
+_CAMPAIGN = (
+    *_rows(
+        "gauge",
+        ("targets", "targets_total", "Targets in the cohort manifest."),
+        ("targets_completed", "targets_completed",
+         "Targets whose full stage chain finished ok."),
+        ("targets_failed", "targets_failed",
+         "Targets with at least one failed stage."),
+        ("tasks_done", "stage_outputs_done",
+         "Stage outputs persisted as ok checkpoints."),
+        ("tasks_failed", "stage_outputs_failed",
+         "Stage outputs persisted as failed."),
+        ("msa_seconds_total", "msa_seconds",
+         "Cohort simulated MSA seconds (paper Fig 7 numerator)."),
+        ("inference_seconds_total", "inference_seconds",
+         "Cohort simulated inference seconds."),
+        ("cohort_msa_fraction", "msa_fraction_ratio",
+         "MSA share of MSA+inference time across the cohort."),
+        ("serial_seconds", "serial_seconds",
+         "Sum of all simulated stage seconds (one-worker campaign)."),
+        ("pipeline_makespan_seconds", "pipeline_makespan_seconds",
+         "Modeled makespan under the configured stage pools."),
+        ("pipeline_speedup", "pipeline_speedup_ratio",
+         "Serial seconds over modeled makespan."),
+    ),
+    _Metric("phase_seconds.*", "phase_seconds", "gauge",
+            "Simulated seconds per campaign stage (Fig 3).", ("stage",)),
+    _Metric("figures.fig3_phase_share.*", "phase_share_ratio", "gauge",
+            "Share of simulated time per stage (Fig 3).", ("stage",)),
+    _Metric("complexity_histogram.*", "targets_by_complexity", "gauge",
+            "Completed targets per complexity class (Table II).",
+            ("complexity",)),
+)
+
+
+def _lookup(mapping, path: str):
+    for key in path.split("."):
+        if key:
+            mapping = mapping[key]
+    return mapping
+
+
+def _families(row: _Metric, value, name: str, base: str):
+    """``(name, type, samples)`` per metric one row renders; a sample
+    is ``(name suffix, label set, value)``."""
+    _, fan, field = row.path.partition(".*")
+    if not fan:
+        if row.mtype != "summary":
+            yield name, row.mtype, [("", base, value)]
+            return
+        samples = [
+            ("", f'{base},quantile="{quantile}"', value[key])
+            for key, quantile in _QUANTILES
+        ]
+        samples += [(f"_{key}", base, value[key])
+                    for key in ("count", "mean", "max")]
+        yield name, "summary", samples
+    elif row.labels:
+        first, *rest = row.labels
+        yield name, row.mtype, [
+            (
+                "",
+                f'{base},{first}="{key}"' + "".join(
+                    f',{label}="{str(entry[label]).lower()}"'
+                    for label in rest
+                ),
+                _lookup(entry, field),
+            )
+            for key, entry in value.items()
+        ]
+    else:
+        for key, entry in value.items():
+            if isinstance(entry, (int, float)):
+                mtype = "gauge" if key in row.mtype else "counter"
+                yield name.replace("*", key), mtype, [("", base, entry)]
+
+
+def _exposition(summary, prefix: str, label: str, table) -> str:
+    """Render ``summary`` through ``table``: fixed names, ordering and
+    label sets, so the same summary always yields the same bytes."""
+    base = f'{label}="{summary[label]}"'
+    lines: List[str] = []
+    for row in table:
+        head = row.path.partition(".*")[0]
+        if "." in row.path and row.path.split(".")[0] not in summary:
+            continue
+        for name, mtype, samples in _families(
+            row, _lookup(summary, head), f"{prefix}_{row.suffix}", base
+        ):
+            lines.append(f"# HELP {name} {row.help}")
+            lines.append(f"# TYPE {name} {mtype}")
+            lines.extend(
+                f"{name}{suffix}{{{labels}}} {value}"
+                for suffix, labels, value in samples
+            )
+    return "\n".join(lines) + "\n"
 
 
 def prometheus_metrics(report, prefix: str = "afsys_serving") -> str:
     """Prometheus text exposition of a serving report's summary.
 
-    Metric names, ordering, and label sets are fixed, so scraping the
-    same seeded run twice produces identical text.  The source fields
-    are exactly the golden-summary fields documented in
-    ``docs/metrics_reference.md`` — this is a re-rendering, not a new
+    The source fields are exactly the golden-summary fields documented
+    in ``docs/metrics_reference.md`` — a re-rendering, not a new
     metrics surface.
     """
-    summary = report.summary()
-    labels = f'{{platform="{summary["platform"]}"}}'
-    lines: List[str] = []
-
-    def emit(suffix, mtype, help_text, value, extra_labels=""):
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{extra_labels or labels} {value}")
-
-    emit("gpu_workers", "gauge", "GPU workers in the pool.",
-         summary["gpu_workers"])
-    emit("msa_workers", "gauge", "MSA workers in the pool.",
-         summary["msa_workers"])
-    for field, suffix, help_text in _COUNTERS:
-        emit(suffix, "counter", help_text, summary[field])
-    for field, suffix, help_text in _GAUGES:
-        emit(suffix, "gauge", help_text, summary[field])
-    for field, suffix, help_text in _LATENCY_SECTIONS:
-        stats = summary[field]
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} summary")
-        base = labels[:-1]  # reuse the platform label, add quantile
-        for key, quantile in _QUANTILES:
-            lines.append(
-                f'{name}{base},quantile="{quantile}"}} {stats[key]}'
-            )
-        lines.append(f"{name}_count{labels} {stats['count']}")
-        lines.append(f"{name}_mean{labels} {stats['mean']}")
-        lines.append(f"{name}_max{labels} {stats['max']}")
-    store = summary.get("store")
-    if store:
-        for key, value in store.items():
-            name = f"{prefix}_store_{key}"
-            lines.append(
-                f"# HELP {name} Feature-store counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("hit_rate", "entries", "total_bytes")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    faults = summary.get("faults")
-    if faults:
-        plan = faults.get("plan", {})
-        name = f"{prefix}_fault_planned_total"
-        lines.append(
-            f"# HELP {name} Fault events scheduled by the plan, by kind."
-        )
-        lines.append(f"# TYPE {name} counter")
-        for kind, count in plan.items():
-            lines.append(
-                f'{name}{labels[:-1]},kind="{kind}"}} {count}'
-            )
-        for key, value in faults.items():
-            if key == "plan":
-                continue
-            name = f"{prefix}_fault_{key}"
-            lines.append(
-                f"# HELP {name} Fault/recovery counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = "gauge" if key == "rewarm_seconds" or key == "stall_seconds" else "counter"
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    bucket_waste = summary.get("bucket_waste")
-    if bucket_waste:
-        for key in ("requests", "real_tokens", "padded_tokens",
-                    "waste_tokens"):
-            name = f"{prefix}_bucket_waste_{key}_total"
-            lines.append(
-                f"# HELP {name} Padded-shape accounting of the "
-                f"configured bucket list (see docs/metrics_reference.md)."
-            )
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{labels} {bucket_waste[key]}")
-        name = f"{prefix}_bucket_waste_ratio"
-        lines.append(
-            f"# HELP {name} Waste tokens over padded tokens, percent."
-        )
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name}{labels} {bucket_waste['waste_pct']}")
-        name = f"{prefix}_bucket_requests"
-        lines.append(
-            f"# HELP {name} Requests landing in each bucket edge."
-        )
-        lines.append(f"# TYPE {name} counter")
-        for edge, stats in bucket_waste.get("per_bucket", {}).items():
-            lines.append(
-                f'{name}{labels[:-1]},bucket="{edge}"}} '
-                f'{stats["requests"]}'
-            )
-    compile_cache = summary.get("compile_cache")
-    if compile_cache:
-        for key, value in compile_cache.items():
-            name = f"{prefix}_compile_cache_{key}"
-            lines.append(
-                f"# HELP {name} Shared XLA compile-cache counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("entries", "hit_cost_seconds", "seconds_saved")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    return "\n".join(lines) + "\n"
-
-
-# -- cluster Prometheus exposition ---------------------------------------
-
-#: cluster summary field -> (metric suffix, type, help text).
-_CLUSTER_COUNTERS = [
-    ("submitted", "jobs_submitted_total", "Jobs submitted to the cluster."),
-    ("completed", "jobs_completed_total", "Jobs that finished inference."),
-    ("failed", "jobs_failed_total",
-     "Jobs that exhausted their retry budget."),
-    ("attempts", "job_attempts_total", "Node assignments (all attempts)."),
-    ("migrations", "migrations_total",
-     "Drain-requeues after a spot preemption notice."),
-    ("crash_requeues", "crash_requeues_total",
-     "Requeues after a crash or zero-warning reclaim."),
-    ("chains_scanned", "chains_scanned_total",
-     "Per-chain MSA scans run on cluster nodes."),
-    ("store_chain_hits", "store_chain_hits_total",
-     "Chain scans avoided via the shared feature store."),
-    ("chains_published", "chains_published_total",
-     "Chain features published to the shared store."),
-    ("resumed_shards", "resumed_shards_total",
-     "DB shards skipped by resuming drain checkpoints."),
-    ("drain_publishes", "drain_publishes_total",
-     "Chains published during preemption drains."),
-    ("drain_checkpoints", "drain_checkpoints_total",
-     "In-flight scans checkpointed during drains."),
-    ("corrupted_keys", "store_corrupted_keys_total",
-     "Trusted store keys struck by corruption."),
-    ("migrated_recomputed_chains", "migrated_recomputed_chains_total",
-     "Chain scans re-run despite a completed pre-drain scan "
-     "(the no-double-execution audit pins this at 0)."),
-    ("double_billed_shards", "double_billed_shards_total",
-     "Checkpointed shards billed twice on resume (audit pins 0)."),
-    ("scale_outs", "scale_out_nodes_total", "Nodes booted by autoscaling."),
-    ("scale_ins", "scale_in_nodes_total",
-     "Idle nodes terminated by autoscaling."),
-    ("queue_pushes", "queue_pushes_total", "Job queue admissions."),
-    ("queue_requeues", "queue_requeues_total", "Job queue re-admissions."),
-]
-
-_CLUSTER_GAUGES = [
-    ("duration_seconds", "duration_seconds",
-     "Simulated makespan of the cluster run."),
-    ("scan_seconds_billed", "scan_seconds_billed",
-     "Node-seconds billed to MSA chain scans."),
-    ("gpu_seconds_billed", "gpu_seconds_billed",
-     "Node-seconds billed to GPU inference."),
-    ("cost_usd", "cost_usd", "Total fleet cost, boot to termination."),
-    ("cost_per_job_usd", "cost_per_job_usd", "Fleet cost per completed job."),
-    ("throughput_jobs_per_hour", "throughput_jobs_per_hour",
-     "Completed jobs per simulated hour."),
-]
-
-_POOL_GAUGES = [
-    ("nodes_booted", "pool_nodes_booted", "Nodes booted in the pool."),
-    ("nodes_terminated", "pool_nodes_terminated",
-     "Pool nodes preempted or scaled in."),
-    ("peak_nodes", "pool_peak_nodes",
-     "Max simultaneously-alive nodes in the pool."),
-    ("busy_seconds", "pool_busy_seconds",
-     "Node-seconds the pool spent on jobs."),
-    ("billed_seconds", "pool_billed_seconds",
-     "Node-seconds the pool was billed for."),
-    ("cost_usd", "pool_cost_usd", "Pool cost over the run."),
-    ("utilization", "pool_utilization_ratio",
-     "Busy fraction of billed pool time."),
-]
+    return _exposition(report.summary(), prefix, "platform", _SERVING)
 
 
 def cluster_prometheus_metrics(report, prefix: str = "afsys_cluster") -> str:
     """Prometheus text exposition of a cluster report's summary.
 
-    Same contract as :func:`prometheus_metrics` one level up: fixed
-    names and ordering (byte-identical for a seeded run), fields
-    sourced from the golden cluster summary documented in
-    ``docs/metrics_reference.md``.  Pool-scoped metrics carry a
-    ``pool`` label; everything else is labelled by autoscale policy.
+    Pool-scoped metrics carry ``pool`` and ``spot`` labels; everything
+    is labelled by autoscale policy.
     """
-    summary = report.summary()
-    labels = f'{{policy="{summary["policy"]}"}}'
-    lines: List[str] = []
-
-    def emit(suffix, mtype, help_text, value, extra_labels=""):
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{extra_labels or labels} {value}")
-
-    for field, suffix, help_text in _CLUSTER_COUNTERS:
-        emit(suffix, "counter", help_text, summary[field])
-    for field, suffix, help_text in _CLUSTER_GAUGES:
-        emit(suffix, "gauge", help_text, summary[field])
-    stats = summary["latency"]
-    name = f"{prefix}_job_latency_seconds"
-    lines.append(
-        f"# HELP {name} Arrival-to-completion latency, completed jobs."
-    )
-    lines.append(f"# TYPE {name} summary")
-    base = labels[:-1]
-    for key, quantile in _QUANTILES:
-        lines.append(f'{name}{base},quantile="{quantile}"}} {stats[key]}')
-    lines.append(f"{name}_count{labels} {stats['count']}")
-    lines.append(f"{name}_mean{labels} {stats['mean']}")
-    lines.append(f"{name}_max{labels} {stats['max']}")
-    for field, suffix, help_text in _POOL_GAUGES:
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} gauge")
-        for pool_name, pool in summary["pools"].items():
-            pool_labels = (
-                f'{base},pool="{pool_name}",'
-                f'spot="{str(pool["spot"]).lower()}"}}'
-            )
-            lines.append(f"{name}{pool_labels} {pool[field]}")
-    faults = summary.get("faults")
-    if faults:
-        for key, value in faults.items():
-            if not isinstance(value, (int, float)):
-                continue
-            name = f"{prefix}_fault_{key}"
-            lines.append(
-                f"# HELP {name} Fault/recovery counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = "gauge" if key.endswith("_seconds") else "counter"
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    store = summary.get("store")
-    if store:
-        for key, value in store.items():
-            name = f"{prefix}_store_{key}"
-            lines.append(
-                f"# HELP {name} Feature-store counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("hit_rate", "entries", "total_bytes")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    compile_cache = summary.get("compile_cache")
-    if compile_cache:
-        for key, value in compile_cache.items():
-            name = f"{prefix}_compile_cache_{key}"
-            lines.append(
-                f"# HELP {name} Fleet-shared XLA compile-cache counter "
-                f"(see docs/metrics_reference.md)."
-            )
-            kind = (
-                "gauge"
-                if key in ("entries", "hit_cost_seconds", "seconds_saved")
-                else "counter"
-            )
-            lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{labels} {value}")
-    return "\n".join(lines) + "\n"
-
-
-# -- campaign Prometheus exposition ---------------------------------------
-
-#: cohort summary field -> (metric suffix, type, help text).
-_CAMPAIGN_FIELDS = [
-    ("targets", "targets_total", "gauge", "Targets in the cohort manifest."),
-    ("targets_completed", "targets_completed", "gauge",
-     "Targets whose full stage chain finished ok."),
-    ("targets_failed", "targets_failed", "gauge",
-     "Targets with at least one failed stage."),
-    ("tasks_done", "stage_outputs_done", "gauge",
-     "Stage outputs persisted as ok checkpoints."),
-    ("tasks_failed", "stage_outputs_failed", "gauge",
-     "Stage outputs persisted as failed."),
-    ("msa_seconds_total", "msa_seconds", "gauge",
-     "Cohort simulated MSA seconds (paper Fig 7 numerator)."),
-    ("inference_seconds_total", "inference_seconds", "gauge",
-     "Cohort simulated inference seconds."),
-    ("cohort_msa_fraction", "msa_fraction_ratio", "gauge",
-     "MSA share of MSA+inference time across the cohort."),
-    ("serial_seconds", "serial_seconds", "gauge",
-     "Sum of all simulated stage seconds (one-worker campaign)."),
-    ("pipeline_makespan_seconds", "pipeline_makespan_seconds", "gauge",
-     "Modeled makespan under the configured stage pools."),
-    ("pipeline_speedup", "pipeline_speedup_ratio", "gauge",
-     "Serial seconds over modeled makespan."),
-]
+    return _exposition(report.summary(), prefix, "policy", _CLUSTER)
 
 
 def campaign_prometheus_metrics(summary, prefix: str = "afsys_campaign") -> str:
@@ -545,38 +492,6 @@ def campaign_prometheus_metrics(summary, prefix: str = "afsys_campaign") -> str:
 
     Takes the :func:`repro.campaign.cohort_summary` document (already a
     plain mapping — campaigns have no live report object, the summary
-    *is* the durable surface).  Same contract as the serving and
-    cluster expositions: fixed names and ordering, platform label,
-    byte-identical for the same summary.
+    *is* the durable surface), labelled by platform.
     """
-    labels = f'{{platform="{summary["platform"]}"}}'
-    lines: List[str] = []
-    for field, suffix, mtype, help_text in _CAMPAIGN_FIELDS:
-        name = f"{prefix}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{labels} {summary[field]}")
-    base = labels[:-1]
-    name = f"{prefix}_phase_seconds"
-    lines.append(
-        f"# HELP {name} Simulated seconds per campaign stage (Fig 3)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for stage, seconds in summary["phase_seconds"].items():
-        lines.append(f'{name}{base},stage="{stage}"}} {seconds}')
-    name = f"{prefix}_phase_share_ratio"
-    lines.append(
-        f"# HELP {name} Share of simulated time per stage (Fig 3)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for stage, share in summary["figures"]["fig3_phase_share"].items():
-        lines.append(f'{name}{base},stage="{stage}"}} {share}')
-    name = f"{prefix}_targets_by_complexity"
-    lines.append(
-        f"# HELP {name} Completed targets per complexity class "
-        f"(Table II)."
-    )
-    lines.append(f"# TYPE {name} gauge")
-    for cls, count in summary["complexity_histogram"].items():
-        lines.append(f'{name}{base},complexity="{cls}"}} {count}')
-    return "\n".join(lines) + "\n"
+    return _exposition(summary, prefix, "platform", _CAMPAIGN)

@@ -22,6 +22,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--platform", "Laptop"])
 
+    def test_chaos_requests_default_ignores_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
+        assert build_parser().parse_args(["chaos"]).requests == 120
+
 
 class TestCommands:
     def test_samples_lists_all(self, capsys):

@@ -32,9 +32,9 @@ from repro.cluster import (
     checkpointable_shards,
     get_policy,
     pareto_rows,
-    run_cluster_campaign,
 )
 from repro.cluster.jobs import ChainStatus
+from repro.faults import run_campaign
 from repro.observability import ClusterProbe
 from repro.serving.scenarios import ppi_chain_library, ppi_pair_samples
 
@@ -379,7 +379,7 @@ class TestMigrationDifferential:
     CONFIG = ClusterChaosConfig(seed=7)
 
     def test_migration_on_reuses_checkpoints(self):
-        result = run_cluster_campaign(
+        result = run_campaign(
             self.CONFIG, check_determinism=False
         )
         report = result.report
@@ -393,10 +393,10 @@ class TestMigrationDifferential:
         assert report.double_billed_shards == 0
 
     def test_migration_off_pays_strictly_more_compute(self):
-        on = run_cluster_campaign(
+        on = run_campaign(
             self.CONFIG, check_determinism=False
         ).report
-        off = run_cluster_campaign(
+        off = run_campaign(
             dataclasses.replace(self.CONFIG, migration=False),
             check_determinism=False,
         ).report
@@ -410,7 +410,7 @@ class TestMigrationDifferential:
 
 class TestGoldens:
     def test_golden_cluster_summary(self):
-        result = run_cluster_campaign(
+        result = run_campaign(
             ClusterChaosConfig(), check_determinism=False
         )
         got = json.loads(json.dumps(result.summary()))
@@ -419,7 +419,7 @@ class TestGoldens:
 
     def test_golden_pareto_table(self):
         reports = [
-            run_cluster_campaign(
+            run_campaign(
                 ClusterChaosConfig(policy=policy),
                 check_determinism=False,
             ).report

@@ -10,14 +10,8 @@ byte-identical reruns per seed.
 
 import dataclasses
 
-from repro.cluster import (
-    ClusterChaosConfig,
-    check_cluster_invariants,
-    run_cluster_campaign,
-    run_cluster_suite,
-)
-from repro.cluster.chaos import _run_once
-from repro.faults import FaultKind
+from repro.cluster import ClusterChaosConfig, check_cluster_invariants
+from repro.faults import FaultKind, run_campaign, run_suite
 
 AUDIT_SEEDS = tuple(range(20))
 
@@ -32,8 +26,8 @@ REQUIRED_KINDS = {
 
 class TestInvariantSuite:
     def test_twenty_seeds_hold_every_invariant(self):
-        results = run_cluster_suite(
-            AUDIT_SEEDS, check_determinism=False
+        results = run_suite(
+            AUDIT_SEEDS, ClusterChaosConfig(), check_determinism=False
         )
         assert len(results) == len(AUDIT_SEEDS)
         for seed, result in results.items():
@@ -51,8 +45,8 @@ class TestInvariantSuite:
         """The pins are meaningless if no campaign ever drains a busy
         node — across the sweep, drains must bank and resumes must
         consume real work."""
-        results = run_cluster_suite(
-            AUDIT_SEEDS, check_determinism=False
+        results = run_suite(
+            AUDIT_SEEDS, ClusterChaosConfig(), check_determinism=False
         )
         reports = [r.report for r in results.values()]
         assert sum(r.migrations for r in reports) > 0
@@ -65,10 +59,10 @@ class TestInvariantSuite:
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
-        a = run_cluster_campaign(
+        a = run_campaign(
             ClusterChaosConfig(seed=3), check_determinism=False
         )
-        b = run_cluster_campaign(
+        b = run_campaign(
             ClusterChaosConfig(seed=3), check_determinism=False
         )
         assert a.to_json() == b.to_json()
@@ -76,17 +70,17 @@ class TestDeterminism:
 
     def test_builtin_rerun_check_across_seeds(self):
         for seed in (0, 1, 7):
-            result = run_cluster_campaign(
+            result = run_campaign(
                 ClusterChaosConfig(seed=seed), check_determinism=True
             )
             assert result.deterministic is True
             assert result.ok
 
     def test_different_seeds_differ(self):
-        a = run_cluster_campaign(
+        a = run_campaign(
             ClusterChaosConfig(seed=0), check_determinism=False
         )
-        b = run_cluster_campaign(
+        b = run_campaign(
             ClusterChaosConfig(seed=1), check_determinism=False
         )
         assert a.to_json() != b.to_json()
@@ -97,7 +91,7 @@ class TestKindsFilter:
         config = ClusterChaosConfig(
             seed=0, kinds=("preemption_notice",)
         )
-        result = run_cluster_campaign(config, check_determinism=False)
+        result = run_campaign(config, check_determinism=False)
         assert result.violations == []
         assert [k.value for k in result.plan.active_kinds] == [
             "preemption_notice"
@@ -118,7 +112,7 @@ class TestCheckerIsNotVacuous:
     """Corrupt a finished run's state; the auditor must object."""
 
     def _finished(self):
-        return _run_once(ClusterChaosConfig(seed=0))
+        return ClusterChaosConfig(seed=0).run()
 
     def test_flags_job_loss(self):
         scheduler, report, _ = self._finished()

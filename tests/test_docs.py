@@ -110,3 +110,73 @@ class TestIntraRepoLinks:
             assert f"({guide.name})" in index, (
                 f"docs/README.md does not index {guide.name}"
             )
+
+
+class TestMetricsReferenceNames:
+    """Every metric name in the Prometheus column of the metrics
+    reference is one the exporter really emits.  The seeded
+    expositions are the ``tests/golden/prometheus_*.txt`` pins
+    (``tests/test_prometheus.py`` keeps them equal to the exporter)."""
+
+    #: ``## `` heading prefix -> (metric prefix, goldens) for the
+    #: tables under it; serving tables come before the first of these.
+    DOMAINS = {
+        "": ("afsys_serving_", ("prometheus_serving.txt",
+                                "prometheus_serving_chaos.txt")),
+        "Cluster summary": ("afsys_cluster_", ("prometheus_cluster.txt",)),
+        "Campaign summary": ("afsys_campaign_",
+                             ("prometheus_campaign.txt",)),
+    }
+
+    @staticmethod
+    def _emitted(goldens):
+        names = set()
+        for golden in goldens:
+            for line in (REPO / "tests" / "golden" / golden).read_text() \
+                    .splitlines():
+                if line.startswith("# HELP "):
+                    names.add(line.split()[2])
+                elif not line.startswith("#"):
+                    names.add(re.split(r"[{ ]", line)[0])
+        return names
+
+    def _documented(self):
+        """(domain heading, backticked name) per Prometheus-column cell."""
+        domain, column = "", None
+        text = (DOCS / "metrics_reference.md").read_text()
+        for line in text.splitlines():
+            if line.startswith("## "):
+                domain = next(
+                    (d for d in self.DOMAINS if d and line[3:].startswith(d)),
+                    domain,
+                )
+                continue
+            if not line.startswith("|"):
+                column = None
+                continue
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if column is None:
+                column = cells.index("Prometheus") \
+                    if "Prometheus" in cells else -1
+                continue
+            if column < 0 or set(cells[0]) <= {"-"}:
+                continue
+            cell = cells[column]
+            if cell.startswith("label"):
+                continue
+            for name in re.findall(r"`([^`]+)`", cell):
+                yield domain, name.split("{")[0]
+
+    def test_documented_names_are_emitted(self):
+        checked = {domain: 0 for domain in self.DOMAINS}
+        missing = []
+        for domain, name in self._documented():
+            prefix, goldens = self.DOMAINS[domain]
+            pattern = re.compile(
+                re.escape(prefix + name).replace(r"\*", ".*")
+            )
+            if not any(pattern.fullmatch(m) for m in self._emitted(goldens)):
+                missing.append(f"{prefix}{name}")
+            checked[domain] += 1
+        assert not missing, f"documented but never emitted: {missing}"
+        assert all(count >= 10 for count in checked.values()), checked

@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
-from repro.faults.chaos import ChaosConfig, _build
+from repro.faults.chaos import ChaosConfig
 from repro.hardware.platform import SERVER
 from repro.observability import (
     NULL_PROBE,
@@ -79,10 +79,8 @@ def stressed_run(probe=None, degraded_fallback=True):
 
 def chaos_run(probe=None):
     """The chaos harness's default fault mix (crashes, stalls, ...)."""
-    gateway, stream, _plan = _build(
-        ChaosConfig(seed=13, num_requests=40), probe=probe
-    )
-    return gateway.run(stream), stream
+    _gateway, report, _plan = ChaosConfig(seed=13, num_requests=40).run(probe)
+    return report, report.requests
 
 
 ALL_RUNS = [smooth_run, stressed_run, chaos_run]
