@@ -180,8 +180,6 @@ def chrome_trace_json(
     return json.dumps(payload, indent=indent)
 
 
-
-
 # -- Prometheus text exposition -----------------------------------------
 
 #: One row of a metric table.  ``path`` names a summary field, dotted
@@ -416,10 +414,7 @@ def _families(row: _Metric, value, name: str, base: str):
     """``(name, type, samples)`` per metric one row renders; a sample
     is ``(name suffix, label set, value)``."""
     _, fan, field = row.path.partition(".*")
-    if not fan:
-        if row.mtype != "summary":
-            yield name, row.mtype, [("", base, value)]
-            return
+    if row.mtype == "summary":
         samples = [
             ("", f'{base},quantile="{quantile}"', value[key])
             for key, quantile in _QUANTILES
@@ -427,19 +422,17 @@ def _families(row: _Metric, value, name: str, base: str):
         samples += [(f"_{key}", base, value[key])
                     for key in ("count", "mean", "max")]
         yield name, "summary", samples
+    elif not fan:
+        yield name, row.mtype, [("", base, value)]
     elif row.labels:
         first, *rest = row.labels
-        yield name, row.mtype, [
-            (
-                "",
-                f'{base},{first}="{key}"' + "".join(
-                    f',{label}="{str(entry[label]).lower()}"'
-                    for label in rest
-                ),
-                _lookup(entry, field),
+        samples = []
+        for key, entry in value.items():
+            labels = f'{base},{first}="{key}"' + "".join(
+                f',{label}="{str(entry[label]).lower()}"' for label in rest
             )
-            for key, entry in value.items()
-        ]
+            samples.append(("", labels, _lookup(entry, field)))
+        yield name, row.mtype, samples
     else:
         for key, entry in value.items():
             if isinstance(entry, (int, float)):
@@ -453,11 +446,12 @@ def _exposition(summary, prefix: str, label: str, table) -> str:
     base = f'{label}="{summary[label]}"'
     lines: List[str] = []
     for row in table:
-        head = row.path.partition(".*")[0]
-        if "." in row.path and row.path.split(".")[0] not in summary:
+        section, nested, _ = row.path.partition(".")
+        if nested and section not in summary:
             continue
+        value = _lookup(summary, row.path.partition(".*")[0])
         for name, mtype, samples in _families(
-            row, _lookup(summary, head), f"{prefix}_{row.suffix}", base
+            row, value, f"{prefix}_{row.suffix}", base
         ):
             lines.append(f"# HELP {name} {row.help}")
             lines.append(f"# TYPE {name} {mtype}")

@@ -45,12 +45,6 @@ def _diverge(monkeypatch, config_type):
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 class TestDeterminismCheck:
-    def test_steady_rerun_passes(self, domain):
-        config, _ = DOMAINS[domain]
-        result = audit(config, check_determinism=True)
-        assert result.deterministic is True
-        assert result.ok
-
     def test_diverging_rerun_is_flagged(self, domain, monkeypatch):
         config, _ = DOMAINS[domain]
         _diverge(monkeypatch, type(config))
@@ -60,13 +54,6 @@ class TestDeterminismCheck:
         assert not result.ok
         assert result.summary()["invariants_ok"] is False
         assert "RERUN DIVERGED" in result.render()
-
-    def test_skipped_rerun_cannot_diverge(self, domain, monkeypatch):
-        config, _ = DOMAINS[domain]
-        _diverge(monkeypatch, type(config))
-        result = audit(config, check_determinism=False)
-        assert result.deterministic is None
-        assert result.ok
 
     def test_cli_exits_4_on_divergence(self, domain, monkeypatch, capsys):
         config, argv = DOMAINS[domain]
